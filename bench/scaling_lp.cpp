@@ -4,8 +4,8 @@
 //     per-solve pivot count as a machine-comparable counter (wall-clock is
 //     noisy on this container; pivots are not);
 //   * the n=128/256 sparse-platform regime (wafer-scale-like density) for
-//     scatter and reduce — the sizes the presolve+pricing+scaling stack
-//     exists for;
+//     scatter and reduce — the sizes the scaling + sparse LU stack exists
+//     for;
 //   * a phase breakdown of one n=64 solve (FTRAN/BTRAN/pricing/factor) so
 //     future pricing work is measurable from BENCH_lp.json;
 //   * double-solve + rational certificate (our default) vs pure exact
@@ -29,6 +29,7 @@
 #include "core/scatter_lp.h"
 #include "lp/exact_solver.h"
 #include "lp/parallel.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "platform/delta.h"
 #include "platform/paper_instances.h"
@@ -62,7 +63,7 @@ BENCHMARK(BM_ScatterLp)->Arg(6)->Arg(10)->Arg(14)->Arg(18)->Arg(32)->Arg(48)
     ->Arg(64)->Iterations(3)->Unit(benchmark::kMillisecond);
 
 // Large sparse platforms (~6n arcs, the density of wafer-scale fabrics):
-// the n=128/256 regime the presolve+pricing+scaling stack targets. One
+// the n=128/256 regime the scaling + sparse LU stack targets. One
 // iteration — a single solve at this size is signal enough, and the pivot
 // counter is deterministic.
 void BM_ScatterLpLarge(benchmark::State& state) {
@@ -157,31 +158,26 @@ void BM_ScatterLpBreakdown(benchmark::State& state) {
   auto inst = bench_support::random_scatter_instance(42, n, n / 2);
   auto model = core::build_scatter_lp(inst);
   lp::ExactSolver solver;
-  std::size_t factor_fill = 0;
+  lp::SolvePhaseTimes total;
+  std::size_t solves = 0;
   for (auto _ : state) {
     auto sol = solver.solve(model);
     benchmark::DoNotOptimize(sol.objective);
-    factor_fill = std::max(factor_fill, sol.phase_times.factor_fill);
+    total += sol.phase_times;
+    ++solves;
   }
-  const lp::SolverStats stats = solver.stats();
-  const double solves = static_cast<double>(stats.solves ? stats.solves : 1);
-  state.counters["ftran_ms"] =
-      static_cast<double>(stats.ftran_ns) / 1e6 / solves;
-  state.counters["btran_ms"] =
-      static_cast<double>(stats.btran_ns) / 1e6 / solves;
-  state.counters["pricing_ms"] =
-      static_cast<double>(stats.pricing_ns) / 1e6 / solves;
-  state.counters["factor_ms"] =
-      static_cast<double>(stats.factor_ns) / 1e6 / solves;
-  state.counters["factor_fill_nonzeros"] = static_cast<double>(factor_fill);
-  state.counters["presolve_rows_removed"] =
-      static_cast<double>(stats.presolve_rows_removed) / solves;
-  state.counters["presolve_cols_removed"] =
-      static_cast<double>(stats.presolve_cols_removed) / solves;
-  state.counters["certify_ms"] =
-      static_cast<double>(stats.certify_ns) / 1e6 / solves;
-  state.counters["pricing_sweep_ms"] =
-      static_cast<double>(stats.pricing_sweep_ns) / 1e6 / solves;
+  const auto per_solve_ms = [&](std::uint64_t ns) {
+    return static_cast<double>(ns) / 1e6 /
+           static_cast<double>(solves ? solves : 1);
+  };
+  state.counters["ftran_ms"] = per_solve_ms(total.ftran_ns);
+  state.counters["btran_ms"] = per_solve_ms(total.btran_ns);
+  state.counters["pricing_ms"] = per_solve_ms(total.pricing_ns);
+  state.counters["factor_ms"] = per_solve_ms(total.factor_ns);
+  state.counters["factor_fill_nonzeros"] =
+      static_cast<double>(total.factor_fill);
+  state.counters["certify_ms"] = per_solve_ms(total.certify_ns);
+  state.counters["pricing_sweep_ms"] = per_solve_ms(total.pricing_sweep_ns);
   state.counters["threads"] =
       static_cast<double>(lp::resolve_threads(solver.options().threads));
 
@@ -212,7 +208,9 @@ void BM_ScatterLpBreakdown(benchmark::State& state) {
   state.counters["trace_overhead_permille"] = std::max(
       0.0, (traced_ms - untraced_ms) / std::max(untraced_ms, 1e-9) * 1000.0);
 
-  std::cerr << service::format_solver_stats(stats);
+  // Process-wide solver_* totals (every benchmark run so far in this binary).
+  std::cerr << service::format_solver_stats(
+      obs::Registry::global().snapshot());
 }
 BENCHMARK(BM_ScatterLpBreakdown)->Arg(64)->Iterations(2)
     ->Unit(benchmark::kMillisecond);

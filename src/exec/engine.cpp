@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -23,6 +24,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 std::uint8_t pattern_byte(std::size_t type, std::uint64_t id) {
   return static_cast<std::uint8_t>(0x5Au ^ (type * 131u) ^ (id * 7u) ^
                                    (id >> 8));
+}
+
+/// Narrows an exact non-negative count to 64 bits; nullopt when it does not
+/// fit (exact periods are LCMs of solution denominators and can outgrow any
+/// machine word).
+std::optional<std::uint64_t> narrow_count(const num::BigInt& v) {
+  if (v.signum() < 0 || !v.fits_int64()) return std::nullopt;
+  return static_cast<std::uint64_t>(v.to_int64());
 }
 
 enum class StepKind { kSend, kRecv, kComp };
@@ -71,7 +80,10 @@ class Engine {
       report.fault.message = "schedule delivers no operations";
       return report;
     }
-    init();
+    if (!init()) {
+      report.fault = fault_;
+      return report;
+    }
     init_trace();
     if (threaded_) {
       run_threaded();
@@ -85,7 +97,9 @@ class Engine {
  private:
   // ---- setup -------------------------------------------------------------
 
-  void init() {
+  /// False (with fault_ set to kPeriodOverflow) when a per-period count
+  /// does not fit the engine's 64-bit operation counters.
+  [[nodiscard]] bool init() {
     const std::size_t nodes = p_.num_nodes();
     faults_ = FaultRuntime(opt_.faults, p_.platform->num_edges(), nodes);
     avail_.assign(nodes, std::vector<Rational>(p_.num_types));
@@ -147,10 +161,16 @@ class Engine {
             verify_ = false;
             break;
           }
-          const auto count =
-              static_cast<std::uint64_t>(primed.num().to_int64());
-          idq_[u][k].emplace_back(next_id_[k], count);
-          next_id_[k] += count;
+          const auto count = narrow_count(primed.num());
+          if (!count) {
+            set_fault(0.0, FaultCode::kPeriodOverflow,
+                      "primed stock of " + primed.num().to_string() +
+                          " messages per period exceeds 64 bits",
+                      graph::kInvalidId, u);
+            return false;
+          }
+          idq_[u][k].emplace_back(next_id_[k], *count);
+          next_id_[k] += *count;
         }
         if (!verify_) break;
       }
@@ -172,9 +192,19 @@ class Engine {
         Rational(static_cast<std::int64_t>(opt_.warmup_periods +
                                            opt_.measure_periods)) *
         p_.ops_per_period;
-    warmup_ops_ = static_cast<std::uint64_t>(warm.ceil().to_int64());
-    total_ops_ = static_cast<std::uint64_t>(total.ceil().to_int64());
+    const auto warmup_ops = narrow_count(warm.ceil());
+    const auto total_ops = narrow_count(total.ceil());
+    if (!warmup_ops || !total_ops) {
+      set_fault(0.0, FaultCode::kPeriodOverflow,
+                "measurement window of " + total.ceil().to_string() +
+                    " operations (" + p_.ops_per_period.to_string() +
+                    " per period) exceeds 64 bits");
+      return false;
+    }
+    warmup_ops_ = *warmup_ops;
+    total_ops_ = *total_ops;
     if (total_ops_ <= warmup_ops_) total_ops_ = warmup_ops_ + 1;
+    return true;
   }
 
   [[nodiscard]] bool unlimited(graph::NodeId u, std::size_t type) const {
@@ -481,17 +511,24 @@ class Engine {
 
   void update_ops(double now) {
     std::uint64_t ops = std::numeric_limits<std::uint64_t>::max();
-    if (p_.kind == ExecProgram::Kind::kFlow) {
+    std::size_t first = 0;
+    std::size_t last = p_.num_types;
+    if (p_.kind != ExecProgram::Kind::kFlow) {
+      // Reduce: only the full-interval type reaching the target counts.
       for (std::size_t k = 0; k < p_.num_types; ++k) {
-        ops = std::min(ops, static_cast<std::uint64_t>(
-                                delivered_[k].floor().to_int64()));
+        if (p_.sink_of_type[k] != graph::kInvalidId) first = k;
       }
-    } else {
-      std::size_t full = 0;
-      for (std::size_t k = 0; k < p_.num_types; ++k) {
-        if (p_.sink_of_type[k] != graph::kInvalidId) full = k;
+      last = first + 1;
+    }
+    for (std::size_t k = first; k < last; ++k) {
+      const auto delivered = narrow_count(delivered_[k].floor());
+      if (!delivered) {
+        set_fault(now, FaultCode::kPeriodOverflow,
+                  "delivered count of type " + std::to_string(k) +
+                      " exceeds 64 bits");
+        return;
       }
-      ops = static_cast<std::uint64_t>(delivered_[full].floor().to_int64());
+      ops = std::min(ops, *delivered);
     }
     ops_done_ = ops;
     if (!t0_stamped_ && ops_done_ >= warmup_ops_) {

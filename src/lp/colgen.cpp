@@ -190,7 +190,7 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
     dense.colgen_stab_rounds = out.colgen_stab_rounds;
     dense.colgen_round_log = std::move(out.colgen_round_log);
     dense.method = "colgen-fallback+" + dense.method;
-    record_solve(dense, context);
+    publish_solve(dense, context);
     return dense;
   };
 
@@ -559,7 +559,7 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
       context->warm = capture_warm_start(master, fp.basis);
       context->warm_used = warm_live;
     }
-    record_solve(out, context);
+    publish_solve(out, context);
     return out;
   }
   return full_fallback();  // round budget exhausted

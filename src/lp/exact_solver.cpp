@@ -8,7 +8,6 @@
 #include "lp/column_layout.h"
 #include "lp/dual_simplex.h"
 #include "lp/exact_basis.h"
-#include "lp/presolve.h"
 #include "num/reconstruct.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -368,37 +367,10 @@ bool certify_float_result(const ExpandedModel& em,
   return false;
 }
 
-SolverStats ExactSolver::stats() const {
-  SolverStats out;
-  out.solves = stats_.solves.load(std::memory_order_relaxed);
-  out.warm_attempts = stats_.warm_attempts.load(std::memory_order_relaxed);
-  out.warm_solves = stats_.warm_solves.load(std::memory_order_relaxed);
-  out.float_pivots = stats_.float_pivots.load(std::memory_order_relaxed);
-  out.exact_pivots = stats_.exact_pivots.load(std::memory_order_relaxed);
-  out.exact_fallbacks =
-      stats_.exact_fallbacks.load(std::memory_order_relaxed);
-  out.presolve_rows_removed =
-      stats_.presolve_rows_removed.load(std::memory_order_relaxed);
-  out.presolve_cols_removed =
-      stats_.presolve_cols_removed.load(std::memory_order_relaxed);
-  out.ftran_ns = stats_.ftran_ns.load(std::memory_order_relaxed);
-  out.btran_ns = stats_.btran_ns.load(std::memory_order_relaxed);
-  out.pricing_ns = stats_.pricing_ns.load(std::memory_order_relaxed);
-  out.factor_ns = stats_.factor_ns.load(std::memory_order_relaxed);
-  out.certify_ns = stats_.certify_ns.load(std::memory_order_relaxed);
-  out.pricing_sweep_ns =
-      stats_.pricing_sweep_ns.load(std::memory_order_relaxed);
-  out.colgen_solves = stats_.colgen_solves.load(std::memory_order_relaxed);
-  out.colgen_rounds = stats_.colgen_rounds.load(std::memory_order_relaxed);
-  out.colgen_columns_generated =
-      stats_.colgen_columns_generated.load(std::memory_order_relaxed);
-  return out;
-}
-
 ExactSolution ExactSolver::solve(const Model& model,
                                  SolveContext* context) const {
   ExactSolution out = solve_impl(model, context);
-  record_solve(out, context);
+  publish_solve(out, context);
   return out;
 }
 
@@ -411,21 +383,27 @@ Parallel ExactSolver::solve_parallel(const SolveContext* context) const {
   return Parallel::with(pool, budget);
 }
 
-namespace {
-
-/// Mirrors one finished solve into the process-wide registry: counters the
-/// Prometheus/JSON expositions serve, plus per-phase latency histograms
-/// (the registry-backed replacement for eyeballing SolvePhaseTimes). All
-/// bumps share one Batch so a concurrent snapshot sees the whole solve or
-/// none of it.
-void publish_solve(const ExactSolution& out) {
+void ExactSolver::publish_solve(const ExactSolution& out,
+                                const SolveContext* context) {
+  // Counters the Prometheus/JSON expositions serve, plus per-phase latency
+  // histograms. All bumps share one Batch so a concurrent snapshot sees the
+  // whole solve or none of it.
   obs::Registry& reg = obs::Registry::global();
   obs::Registry::Batch batch(reg);
   reg.counter("solver_solves", "completed exact solves").add(1);
   reg.counter("solver_float_pivots").add(out.float_iterations);
   reg.counter("solver_exact_pivots").add(out.exact_iterations);
+  if (context && context->warm_attempted) {
+    reg.counter("solver_warm_attempts").add(1);
+  }
   if (out.warm_started) reg.counter("solver_warm_solves").add(1);
   if (out.exact_iterations > 0) reg.counter("solver_exact_fallbacks").add(1);
+  if (out.colgen_rounds > 0 || out.colgen_columns_total > 0) {
+    reg.counter("solver_colgen_solves").add(1);
+    reg.counter("solver_colgen_rounds").add(out.colgen_rounds);
+    reg.counter("solver_colgen_columns_generated")
+        .add(out.colgen_columns_generated);
+  }
   reg.counter("solver_ftran_ns").add(out.phase_times.ftran_ns);
   reg.counter("solver_btran_ns").add(out.phase_times.btran_ns);
   reg.counter("solver_pricing_ns").add(out.phase_times.pricing_ns);
@@ -438,52 +416,6 @@ void publish_solve(const ExactSolution& out) {
       .record(static_cast<double>(out.phase_times.factor_ns) / 1e6);
   reg.histogram("solver_pricing_ms", "per-solve pricing latency")
       .record(static_cast<double>(out.phase_times.pricing_ns) / 1e6);
-}
-
-}  // namespace
-
-void ExactSolver::record_solve(const ExactSolution& out,
-                               const SolveContext* context) const {
-  // Aggregate telemetry: relaxed atomics, safe under concurrent solves (see
-  // the thread-safety contract in the header).
-  stats_.solves.fetch_add(1, std::memory_order_relaxed);
-  stats_.float_pivots.fetch_add(out.float_iterations,
-                                std::memory_order_relaxed);
-  stats_.exact_pivots.fetch_add(out.exact_iterations,
-                                std::memory_order_relaxed);
-  if (context && context->warm_attempted) {
-    stats_.warm_attempts.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (out.warm_started) {
-    stats_.warm_solves.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (out.exact_iterations > 0) {
-    stats_.exact_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  }
-  stats_.presolve_rows_removed.fetch_add(out.presolve_rows_removed,
-                                         std::memory_order_relaxed);
-  stats_.presolve_cols_removed.fetch_add(out.presolve_cols_removed,
-                                         std::memory_order_relaxed);
-  stats_.ftran_ns.fetch_add(out.phase_times.ftran_ns,
-                            std::memory_order_relaxed);
-  stats_.btran_ns.fetch_add(out.phase_times.btran_ns,
-                            std::memory_order_relaxed);
-  stats_.pricing_ns.fetch_add(out.phase_times.pricing_ns,
-                              std::memory_order_relaxed);
-  stats_.factor_ns.fetch_add(out.phase_times.factor_ns,
-                             std::memory_order_relaxed);
-  stats_.certify_ns.fetch_add(out.phase_times.certify_ns,
-                              std::memory_order_relaxed);
-  stats_.pricing_sweep_ns.fetch_add(out.phase_times.pricing_sweep_ns,
-                                    std::memory_order_relaxed);
-  if (out.colgen_rounds > 0 || out.colgen_columns_total > 0) {
-    stats_.colgen_solves.fetch_add(1, std::memory_order_relaxed);
-    stats_.colgen_rounds.fetch_add(out.colgen_rounds,
-                                   std::memory_order_relaxed);
-    stats_.colgen_columns_generated.fetch_add(out.colgen_columns_generated,
-                                              std::memory_order_relaxed);
-  }
-  publish_solve(out);
 }
 
 ExactSolution ExactSolver::solve_impl(const Model& model,
@@ -556,111 +488,14 @@ ExactSolution ExactSolver::solve_impl(const Model& model,
     }
   }
 
-  // Cold solve: exact presolve first, float solve and certification on the
-  // REDUCED model, exact postsolve back to the full one. The lifted pair is
-  // re-verified against the full model below, so presolve can cost at most
-  // a fallback, never a wrong answer.
-  bool presolve_skip_cold = false;
-  if (options_.presolve) {
-    Presolved pre = [&] {
-      OBS_SPAN("presolve");
-      return presolve(em);
-    }();
-    if (pre.status == PresolveStatus::kInfeasible) {
-      // The reductions run in exact rational arithmetic: this verdict is a
-      // proof, no float or exact simplex pass needed.
-      out.status = SolveStatus::kInfeasible;
-      out.method = "presolve";
-      out.presolve_rows_removed = pre.stats.rows_removed;
-      out.presolve_cols_removed = pre.stats.cols_removed;
-      return out;
-    }
-    if (!pre.identity()) {
-      out.presolve_rows_removed = pre.stats.rows_removed;
-      out.presolve_cols_removed = pre.stats.cols_removed;
-      SimplexResult<double> fr = [&] {
-        OBS_SPAN("float");
-        return solve_simplex<double>(pre.reduced, options_.simplex);
-      }();
-      out.float_iterations += fr.iterations;
-      out.phase_times += fr.phase_times;
-
-      // Lifts an exact reduced-model optimum to the full model and runs
-      // the full certificate as the final gate.
-      auto lift_and_verify = [&](const std::vector<Rational>& x_reduced,
-                                 const std::vector<Rational>& y_reduced,
-                                 const std::vector<BasisColumn>& basis,
-                                 const char* method) -> bool {
-        Presolved::Lifted lifted =
-            pre.postsolve(x_reduced, y_reduced, basis);
-        if (!verify_certificate(em, lifted.primal, lifted.dual, par)) {
-          return false;
-        }
-        out.status = SolveStatus::kOptimal;
-        Rational obj(0);
-        for (std::size_t j = 0; j < em.num_vars; ++j) {
-          if (!em.objective[j].is_zero()) {
-            obj.add_product(em.objective[j], lifted.primal[j]);
-          }
-        }
-        out.primal = em.unshift(lifted.primal);
-        out.dual = std::move(lifted.dual);
-        out.objective = obj + em.objective_constant;
-        out.certified = true;
-        out.method = method;
-        remember(lifted.basis);
-        return true;
-      };
-
-      if (fr.status == SolveStatus::kOptimal) {
-        OBS_SPAN("certify");
-        const auto t0 = Clock::now();
-        for (std::uint64_t cap : options_.denominator_caps) {
-          auto x = reconstruct_vector(fr.primal, cap,
-                                      options_.reconstruct_tolerance, par);
-          auto y = reconstruct_vector(fr.dual, cap,
-                                      options_.reconstruct_tolerance, par);
-          if (!x || !y) continue;
-          for (Rational& v : *x) {
-            if (v.is_negative()) v = Rational(0);
-          }
-          if (!verify_certificate(pre.reduced, *x, *y, par)) continue;
-          if (lift_and_verify(*x, *y, fr.basis, "double+certificate")) {
-            out.phase_times.certify_ns += ns_since(t0);
-            return out;
-          }
-        }
-        if (options_.allow_basis_verification) {
-          if (auto verified = verify_from_basis(pre.reduced, fr.basis, par)) {
-            if (lift_and_verify(verified->primal, verified->dual, fr.basis,
-                                "double+basis-verification")) {
-              out.phase_times.certify_ns += ns_since(t0);
-              return out;
-            }
-          }
-        }
-        out.phase_times.certify_ns += ns_since(t0);
-      }
-      // Reduced-model certification failed (or the reduced float solve was
-      // not optimal): fall through to the shared full-model paths. A
-      // non-optimal reduced verdict skips the redundant full float solve
-      // and lets the exact fallback prove it, exactly like a cold float
-      // verdict did before presolve existed; an optimal-but-uncertifiable
-      // one retries cold on the full model first, mirroring the warm path.
-      fp.status = fr.status;
-      presolve_skip_cold = fr.status != SolveStatus::kOptimal;
-    }
+  // Cold solve: full-model float pass, then the certification ladder.
+  {
+    OBS_SPAN("float");
+    fp = solve_simplex<double>(em, options_.simplex);
   }
-
-  if (!presolve_skip_cold) {
-    {
-      OBS_SPAN("float");
-      fp = solve_simplex<double>(em, options_.simplex);
-    }
-    out.float_iterations += fp.iterations;
-    out.phase_times += fp.phase_times;
-    if (fp.status == SolveStatus::kOptimal && certify(fp)) return out;
-  }
+  out.float_iterations += fp.iterations;
+  out.phase_times += fp.phase_times;
+  if (fp.status == SolveStatus::kOptimal && certify(fp)) return out;
 
   if (!options_.allow_exact_fallback) {
     out.status = fp.status == SolveStatus::kOptimal

@@ -72,29 +72,6 @@ obs::Snapshot snapshot_of(const ServiceMetrics& metrics) {
   return reg.snapshot();
 }
 
-obs::Snapshot snapshot_of(const lp::SolverStats& stats) {
-  obs::Registry reg;
-  reg.counter("solver_solves").set(stats.solves);
-  reg.counter("solver_float_pivots").set(stats.float_pivots);
-  reg.counter("solver_exact_pivots").set(stats.exact_pivots);
-  reg.counter("solver_warm_attempts").set(stats.warm_attempts);
-  reg.counter("solver_warm_solves").set(stats.warm_solves);
-  reg.counter("solver_exact_fallbacks").set(stats.exact_fallbacks);
-  reg.counter("solver_presolve_rows_removed").set(stats.presolve_rows_removed);
-  reg.counter("solver_presolve_cols_removed").set(stats.presolve_cols_removed);
-  reg.counter("solver_colgen_solves").set(stats.colgen_solves);
-  reg.counter("solver_colgen_rounds").set(stats.colgen_rounds);
-  reg.counter("solver_colgen_columns_generated")
-      .set(stats.colgen_columns_generated);
-  reg.counter("solver_ftran_ns").set(stats.ftran_ns);
-  reg.counter("solver_btran_ns").set(stats.btran_ns);
-  reg.counter("solver_pricing_ns").set(stats.pricing_ns);
-  reg.counter("solver_factor_ns").set(stats.factor_ns);
-  reg.counter("solver_certify_ns").set(stats.certify_ns);
-  reg.counter("solver_pricing_sweep_ns").set(stats.pricing_sweep_ns);
-  return reg.snapshot();
-}
-
 std::string format_metrics(const ServiceMetrics& metrics) {
   // Render FROM the machine-readable snapshot: the table below and
   // metrics_snapshot()'s Prometheus/JSON expositions read the same entries
@@ -166,8 +143,7 @@ std::string format_metrics(const ServiceMetrics& metrics) {
   return os.str();
 }
 
-std::string format_solver_stats(const lp::SolverStats& stats) {
-  const obs::Snapshot snap = snapshot_of(stats);
+std::string format_solver_stats(const obs::Snapshot& snap) {
   std::ostringstream os;
   os << io::banner("exact solver");
   io::Table table({"metric", "value"});
@@ -177,10 +153,6 @@ std::string format_solver_stats(const lp::SolverStats& stats) {
   table.add_row({"warm attempts", as_count(snap, "solver_warm_attempts")});
   table.add_row({"warm solves", as_count(snap, "solver_warm_solves")});
   table.add_row({"exact fallbacks", as_count(snap, "solver_exact_fallbacks")});
-  table.add_row({"presolve rows removed",
-                 as_count(snap, "solver_presolve_rows_removed")});
-  table.add_row({"presolve cols removed",
-                 as_count(snap, "solver_presolve_cols_removed")});
   table.add_row({"colgen solves", as_count(snap, "solver_colgen_solves")});
   table.add_row({"colgen rounds", as_count(snap, "solver_colgen_rounds")});
   table.add_row({"colgen columns generated",

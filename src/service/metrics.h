@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "lp/exact_solver.h"
 #include "obs/metrics.h"
 #include "obs/stats.h"
 
@@ -126,18 +125,14 @@ struct ServiceMetrics {
 /// table and the Prometheus/JSON expositions cannot drift apart.
 [[nodiscard]] obs::Snapshot snapshot_of(const ServiceMetrics& metrics);
 
-/// An ExactSolver's aggregate telemetry as registry entries (solver_*);
-/// format_solver_stats renders from exactly this snapshot.
-[[nodiscard]] obs::Snapshot snapshot_of(const lp::SolverStats& stats);
-
 /// Renders the metrics as io/report tables (shard table + totals) for
 /// benches and examples. Table values are read back from snapshot_of().
 [[nodiscard]] std::string format_metrics(const ServiceMetrics& metrics);
 
-/// Renders an ExactSolver's aggregate telemetry — solve/pivot counters plus
-/// the FTRAN/BTRAN/pricing/factorization wall-clock breakdown and presolve
-/// reductions — as an io/report table for benches and examples. Values are
-/// read back from snapshot_of().
-[[nodiscard]] std::string format_solver_stats(const lp::SolverStats& stats);
+/// Renders the solver_* entries ExactSolver publishes to a registry —
+/// solve/pivot/warm/colgen counters plus the FTRAN/BTRAN/pricing/
+/// factorization wall-clock breakdown — as an io/report table for benches
+/// and examples (pass obs::Registry::global().snapshot()).
+[[nodiscard]] std::string format_solver_stats(const obs::Snapshot& snap);
 
 }  // namespace ssco::service

@@ -20,6 +20,7 @@
 #include "exec/program.h"
 #include "exec/threaded_executor.h"
 #include "platform/paper_instances.h"
+#include "service/plan_service.h"
 #include "sim/event_exec.h"
 #include "testing/util.h"
 
@@ -181,6 +182,61 @@ TEST(EventExecTest, InjectedDriftShowsUpAsLostEfficiencyAndInferredCosts) {
         (change.cost / inst.platform.edge_cost(change.edge)).to_double();
     EXPECT_NEAR(ratio, 2.0, 0.05);
   }
+}
+
+// Exact periods are LCMs of solution denominators and can outgrow the
+// engine's 64-bit operation counters. Both backends must end such a run
+// with a typed fault, never an escaped exception.
+TEST(EventExecTest, PeriodOverflowIsTypedFaultOnBothBackends) {
+  const auto inst = platform::fig6_triangle();
+  const auto plan = core::optimize_reduce(inst);
+  ExecProgram program = exec::compile_reduce_program(
+      inst, plan.solution.throughput, plan.schedule);
+  ASSERT_TRUE(program.oneport_error.empty()) << program.oneport_error;
+  program.ops_per_period *= testing::R("10000000000000000000000");
+  for (const bool threaded : {false, true}) {
+    SCOPED_TRACE(threaded ? "threaded" : "event");
+    ExecReport report;
+    ASSERT_NO_THROW(report = threaded
+                                 ? exec::run_threaded(program, quick_options())
+                                 : sim::simulate_execution(program,
+                                                           quick_options()));
+    EXPECT_EQ(report.fault.code, exec::FaultCode::kPeriodOverflow)
+        << report.fault.to_string();
+    EXPECT_FALSE(report.ok());
+    EXPECT_EQ(report.operations, 0u);
+  }
+}
+
+TEST(EventExecTest, SparseReduce32x8PeriodOverflowIsTypedThroughService) {
+  // Sparse n=32 platform, 8 participants: the certified reduce schedule's
+  // period has 22 digits.
+  platform::ReduceInstance inst;
+  inst.platform = testing::random_platform(1, 32, 4.0 / 32.0);
+  for (graph::NodeId u = 24; u < 32; ++u) inst.participants.push_back(u);
+  inst.target = inst.participants.back();
+  service::PlanRequest request;
+  request.instance = inst;
+
+  service::PlanServiceOptions service_options;
+  service_options.num_workers = 1;
+  service::PlanService service(service_options);
+  service::ExecuteOptions options;
+  options.simulate = true;
+  service::ExecuteResult result;
+  ASSERT_NO_THROW(result = service.execute(request, options));
+  EXPECT_EQ(result.report.fault.code, exec::FaultCode::kPeriodOverflow)
+      << result.report.fault.to_string();
+  EXPECT_TRUE(result.degraded);
+  ASSERT_TRUE(result.plan.payload && result.plan.payload->reduce);
+  const auto& period = result.plan.payload->reduce->schedule.period;
+  EXPECT_GT(period.num().to_string().size(), 19u);
+
+  ExecReport direct;
+  ASSERT_NO_THROW(direct = sim::simulate_reduce_execution(
+                      inst, *result.plan.payload->reduce));
+  EXPECT_EQ(direct.fault.code, exec::FaultCode::kPeriodOverflow);
+  service.drain();
 }
 
 // ---- threaded backend ------------------------------------------------------

@@ -150,7 +150,12 @@ TEST(ColGen, TableOracleMatchesDense) {
   ExactSolver solver;
   ColGenOptions cg;
   cg.batch = 1;  // force several rounds
+  const testing::GlobalMetricsDelta delta;
   ExactSolution sol = solver.solve_colgen(master, oracle, cg);
+  EXPECT_EQ(delta("solver_colgen_solves"), 1u);
+  EXPECT_EQ(delta("solver_colgen_rounds"), sol.colgen_rounds);
+  EXPECT_EQ(delta("solver_colgen_columns_generated"),
+            sol.colgen_columns_generated);
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_TRUE(sol.certified);
   EXPECT_GE(sol.colgen_rounds, 1u);
@@ -159,10 +164,6 @@ TEST(ColGen, TableOracleMatchesDense) {
   ExactSolution dense = ExactSolver().solve(dense_model(rows, cols));
   ASSERT_EQ(dense.status, SolveStatus::kOptimal);
   EXPECT_EQ(sol.objective, dense.objective);
-
-  SolverStats stats = solver.stats();
-  EXPECT_EQ(stats.colgen_solves, 1u);
-  EXPECT_EQ(stats.colgen_rounds, sol.colgen_rounds);
 }
 
 TEST(ColGen, InfeasibleMasterFeasibleFullModel) {

@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "testing/util.h"
+
 namespace ssco::lp {
 namespace {
 
@@ -75,22 +77,15 @@ TEST(ExactSolver, NoFallbackReportsHonestly) {
 }
 
 TEST(ExactSolver, InfeasibleProvenByExactPath) {
-  // x <= 1 (bound row) conflicts with x >= 2: the exact presolve proves
-  // this directly (conflicting proportional singleton rows); with presolve
-  // off, the rational simplex must be the prover — never a float verdict.
+  // x <= 1 (bound row) conflicts with x >= 2: the rational simplex must be
+  // the prover — never a float verdict.
   Model m;
   VarId x = m.add_variable("x", Rational(0), Rational(1));
   m.add_constraint(LinearExpr().add(x, Rational(1)), Sense::kGreaterEqual,
                    Rational(2));
   auto sol = ExactSolver().solve(m);
   EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
-  EXPECT_EQ(sol.method, "presolve");
-
-  ExactSolverOptions no_presolve;
-  no_presolve.presolve = false;
-  auto exact = ExactSolver(no_presolve).solve(m);
-  EXPECT_EQ(exact.status, SolveStatus::kInfeasible);
-  EXPECT_EQ(exact.method, "exact-simplex");
+  EXPECT_EQ(sol.method, "exact-simplex");
 }
 
 TEST(ExactSolver, UnboundedDetected) {
@@ -175,7 +170,9 @@ TEST(ExactSolver, DegenerateVertexStillCertifies) {
 
 TEST(ExactSolver, StatsAggregateAcrossConcurrentSolves) {
   // The documented contract: one solver, many concurrent solve() calls,
-  // each with its own SolveContext; the atomic stats must not lose counts.
+  // each with its own SolveContext; the published registry counters must
+  // not lose counts.
+  const testing::GlobalMetricsDelta delta;
   const ExactSolver solver;
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kSolvesPerThread = 16;
@@ -196,13 +193,12 @@ TEST(ExactSolver, StatsAggregateAcrossConcurrentSolves) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(optimal.load(), kThreads * kSolvesPerThread);
-  const SolverStats stats = solver.stats();
-  EXPECT_EQ(stats.solves, kThreads * kSolvesPerThread);
+  EXPECT_EQ(delta("solver_solves"), kThreads * kSolvesPerThread);
   // Every solve after a thread's first replays that thread's context basis.
-  EXPECT_EQ(stats.warm_attempts, kThreads * (kSolvesPerThread - 1));
-  EXPECT_EQ(stats.warm_solves, stats.warm_attempts);
-  EXPECT_GT(stats.float_pivots, 0u);
-  EXPECT_EQ(stats.exact_fallbacks, 0u);
+  EXPECT_EQ(delta("solver_warm_attempts"), kThreads * (kSolvesPerThread - 1));
+  EXPECT_EQ(delta("solver_warm_solves"), delta("solver_warm_attempts"));
+  EXPECT_GT(delta("solver_float_pivots"), 0u);
+  EXPECT_EQ(delta("solver_exact_fallbacks"), 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "lp/exact_solver.h"
+#include "testing/util.h"
 
 namespace ssco::lp {
 namespace {
@@ -114,24 +115,9 @@ TEST(Scaling, DoubleEngineMatchesExactOnBadScaling) {
               1e-9 * std::fabs(ex.objective.to_double()));
 }
 
-TEST(Pricing, DevexAndDantzigAgreeOnCertifiedOptimum) {
-  const Model m = heterogeneous_model();
-  ExactSolverOptions devex;
-  devex.simplex.pricing = PricingRule::kDevex;
-  ExactSolverOptions dantzig;
-  dantzig.simplex.pricing = PricingRule::kDantzig;
-  auto a = ExactSolver(devex).solve(m);
-  auto b = ExactSolver(dantzig).solve(m);
-  ASSERT_EQ(a.status, SolveStatus::kOptimal);
-  ASSERT_EQ(b.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(a.certified);
-  EXPECT_TRUE(b.certified);
-  EXPECT_EQ(a.objective, b.objective);
-}
-
-TEST(SolverStats, PhaseTimeBreakdownAccumulates) {
-  // The FTRAN/BTRAN/pricing counters must be wired through to the
-  // aggregate stats (relaxed atomics) after a solve of nontrivial size.
+TEST(SolverMetrics, PhaseTimeBreakdownAccumulates) {
+  // The FTRAN/BTRAN/pricing counters must be wired through to the global
+  // registry's solver_* counters after a solve of nontrivial size.
   Model m;
   std::vector<VarId> vars;
   for (int j = 0; j < 40; ++j) {
@@ -145,18 +131,19 @@ TEST(SolverStats, PhaseTimeBreakdownAccumulates) {
     }
     m.add_constraint(expr, Sense::kLessEqual, Rational(50));
   }
-  ExactSolver solver;
-  auto sol = solver.solve(m);
+  const testing::GlobalMetricsDelta delta;
+  auto sol = ExactSolver().solve(m);
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_GT(sol.float_iterations, 0u);
-  const SolverStats stats = solver.stats();
-  EXPECT_EQ(stats.solves, 1u);
+  EXPECT_EQ(delta("solver_solves"), 1u);
   // Pricing always runs; a pivot implies at least one FTRAN.
-  EXPECT_GT(stats.pricing_ns, 0u);
-  EXPECT_GT(stats.ftran_ns, 0u);
-  EXPECT_GT(stats.btran_ns, 0u);
-  EXPECT_EQ(stats.ftran_ns, sol.phase_times.ftran_ns);
-  EXPECT_EQ(stats.pricing_ns, sol.phase_times.pricing_ns);
+  EXPECT_GT(delta("solver_pricing_ns"), 0u);
+  EXPECT_GT(delta("solver_ftran_ns"), 0u);
+  EXPECT_GT(delta("solver_btran_ns"), 0u);
+  EXPECT_EQ(delta("solver_ftran_ns"), sol.phase_times.ftran_ns);
+  EXPECT_EQ(delta("solver_btran_ns"), sol.phase_times.btran_ns);
+  EXPECT_EQ(delta("solver_pricing_ns"), sol.phase_times.pricing_ns);
+  EXPECT_EQ(delta("solver_factor_ns"), sol.phase_times.factor_ns);
 }
 
 }  // namespace

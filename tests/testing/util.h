@@ -8,6 +8,7 @@
 #include "graph/generators.h"
 #include "graph/rng.h"
 #include "num/rational.h"
+#include "obs/metrics.h"
 #include "platform/paper_instances.h"
 #include "platform/platform.h"
 
@@ -15,6 +16,20 @@ namespace ssco::testing {
 
 /// Shorthand exact-rational literal: R("2/9"), R("-3").
 inline num::Rational R(std::string_view text) { return num::Rational(text); }
+
+/// Growth of obs::Registry::global() counters since construction — how a
+/// test reads the solver_* telemetry its own solves published.
+class GlobalMetricsDelta {
+ public:
+  GlobalMetricsDelta() : before_(obs::Registry::global().snapshot()) {}
+  [[nodiscard]] std::uint64_t operator()(std::string_view name) const {
+    const auto now = obs::Registry::global().snapshot().value(name);
+    return static_cast<std::uint64_t>(now - before_.value(name));
+  }
+
+ private:
+  obs::Snapshot before_;
+};
 
 /// Deterministic random platform: connected symmetric topology with small
 /// rational link costs (numerators 1..6, denominators 1..4) and integer
